@@ -1,10 +1,15 @@
 // Micro-benchmarks of the numeric kernels on the hot paths: the float
 // reference model, the fixed-point datapath, and the ITH calibration
-// statistics. google-benchmark timings, independent of the trained suite.
+// statistics, plus one cold device run. google-benchmark timings,
+// independent of the trained suite.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <span>
 #include <vector>
 
+#include "accel/accelerator.hpp"
+#include "accel/compiler.hpp"
 #include "accel/fx_types.hpp"
 #include "data/dataset.hpp"
 #include "model/memn2n.hpp"
@@ -40,20 +45,63 @@ void BM_Dot(benchmark::State& state) {
 BENCHMARK(BM_Dot)->Arg(24)->Arg(256);
 
 void BM_FxDot(benchmark::State& state) {
+  // Walks a pool of random-sign row pairs: reusing one pair lets the
+  // branch predictor memorise it, and the timing understates the cost
+  // on real rows.
+  constexpr std::size_t kPairs = 4096;
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto fa = random_vector(n, 3);
-  const auto fb = random_vector(n, 4);
-  accel::FxVector a(n);
-  accel::FxVector b(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  const auto fa = random_vector(kPairs * n, 3);
+  const auto fb = random_vector(kPairs * n, 4);
+  accel::FxVector a(kPairs * n);
+  accel::FxVector b(kPairs * n);
+  for (std::size_t i = 0; i < kPairs * n; ++i) {
     a[i] = accel::Fx::from_float(fa[i]);
     b[i] = accel::Fx::from_float(fb[i]);
   }
+  const std::span<const accel::Fx> rows_a(a);
+  const std::span<const accel::Fx> rows_b(b);
+  std::size_t pair = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(accel::fx_dot(a, b));
+    benchmark::DoNotOptimize(accel::fx_dot(rows_a.subspan(pair * n, n),
+                                           rows_b.subspan(pair * n, n)));
+    pair = pair + 1 == kPairs ? 0 : pair + 1;
   }
 }
 BENCHMARK(BM_FxDot)->Arg(24)->Arg(256);
+
+/// One cold device run (model upload + 64-story stream) of an untrained
+/// E=24, 3-hop model: the device-simulation layer's host cost, reported
+/// per run (the time column) and per simulated cycle.
+void BM_DeviceRun(benchmark::State& state) {
+  data::DatasetConfig dc;
+  dc.train_stories = 1;
+  dc.test_stories = 64;
+  const auto ds =
+      data::build_task_dataset(data::TaskId::kTwoSupportingFacts, dc);
+  model::ModelConfig mc;
+  mc.vocab_size = ds.vocab_size();
+  mc.embedding_dim = 24;
+  mc.hops = 3;
+  numeric::Rng rng(12);
+  const model::MemN2N net(mc, rng);
+  const accel::Accelerator device(accel::AccelConfig{},
+                                  accel::compile_model(net));
+  double cycles = 0.0;
+  double ns = 0.0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    const accel::RunResult result = device.run(ds.test);
+    ns += std::chrono::duration<double, std::nano>(
+              std::chrono::steady_clock::now() - start)
+              .count();
+    benchmark::DoNotOptimize(result.total_cycles);
+    cycles += static_cast<double>(result.total_cycles);
+  }
+  state.counters["ns_per_sim_cycle"] = cycles > 0.0 ? ns / cycles : 0.0;
+  state.counters["sim_cycles_per_run"] = benchmark::Counter(
+      cycles, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_DeviceRun)->Unit(benchmark::kMicrosecond);
 
 void BM_Softmax(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

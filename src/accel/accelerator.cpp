@@ -113,6 +113,10 @@ Accelerator::Accelerator(AccelConfig config, DeviceProgram program)
   if (config_.clock_hz <= 0.0) {
     throw std::invalid_argument("Accelerator: clock must be positive");
   }
+  if (program_.vocab_size == 0) {
+    // OUTPUT's search needs at least one class to probe.
+    throw std::invalid_argument("Accelerator: program has no output classes");
+  }
   if (config_.ith_enabled && !program_.has_ith_tables()) {
     throw std::invalid_argument(
         "Accelerator: ITH enabled but the program has no threshold tables");
@@ -163,7 +167,7 @@ RunResult Accelerator::simulate(std::span<const data::EncodedStory> stories,
   if (options.model_resident) {
     // Warm device: BRAM already holds this program; the stream carries no
     // model words and CONTROL must accept stories immediately.
-    state.model_words_seen = program_.model_words();
+    state.model_words_seen = state.model_words;
     state.model_loaded = true;
   }
   sim::Fifo<StreamWord> fifo_in("FIFO_IN", config_.fifo_depth);
@@ -172,7 +176,7 @@ RunResult Accelerator::simulate(std::span<const data::EncodedStory> stories,
 
   HostLinkModule host(
       config_,
-      encode_workload(options.model_resident ? 0 : program_.model_words(),
+      encode_workload(options.model_resident ? 0 : state.model_words,
                       stories),
       fifo_in, fifo_out);
   ControlModule control(state, fifo_in, cmd_fifo);
@@ -191,7 +195,7 @@ RunResult Accelerator::simulate(std::span<const data::EncodedStory> stories,
   simulator.add_module(output);
 
   const std::size_t expected = stories.size();
-  simulator.run_until(
+  simulator.run_events(
       [&] { return host.answers().size() >= expected; },
       config_.watchdog_cycles);
 

@@ -128,8 +128,9 @@ class Accelerator {
                               const RunOptions& options = {}) const;
 
  private:
-  /// The uncached path: builds the module graph and ticks it to
-  /// completion (run() adds the memoization layer on top).
+  /// The uncached path: builds the module graph and steps it to
+  /// completion, jumping the quiet cycles (run() adds the memoization
+  /// layer on top).
   [[nodiscard]] RunResult simulate(std::span<const data::EncodedStory> stories,
                                    const RunOptions& options) const;
 

@@ -1,5 +1,6 @@
 #include "accel/fx_types.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace mann::accel {
@@ -31,6 +32,31 @@ Fx fx_dot(std::span<const Fx> a, std::span<const Fx> b) {
   if (a.size() != b.size()) {
     throw std::invalid_argument("fx_dot: length mismatch");
   }
+  // Wide-accumulator fast path. Each product is rounded exactly like
+  // Fx::operator* (half away from zero: round the magnitude, restore the
+  // sign), branch-free in int64. When the rounded magnitudes sum to at
+  // most kRawMax, no product and no partial sum of the sequential
+  // saturating loop can leave the Q16.16 range, so the plain signed sum
+  // equals it bit for bit. A rounded product is below 2^46, so the
+  // magnitude sum cannot overflow int64 under kFastMaxLength terms.
+  constexpr std::size_t kFastMaxLength = std::size_t{1} << 16;
+  constexpr std::int64_t kBias = std::int64_t{1} << (Fx::kFracBits - 1);
+  if (a.size() <= kFastMaxLength) {
+    std::int64_t sum = 0;
+    std::int64_t magnitude = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const std::int64_t prod = std::int64_t{a[i].raw()} * b[i].raw();
+      const std::int64_t sign = prod >> 63;  // 0 or -1
+      const std::int64_t rounded =
+          (((prod ^ sign) - sign) + kBias) >> Fx::kFracBits;
+      sum += (rounded ^ sign) - sign;
+      magnitude += rounded;
+    }
+    if (magnitude <= Fx::kRawMax) {
+      return Fx::from_raw(static_cast<Fx::raw_type>(sum));
+    }
+  }
+  // Some term or partial sum may saturate: replay the datapath order.
   Fx acc;
   for (std::size_t i = 0; i < a.size(); ++i) {
     acc += a[i] * b[i];

@@ -54,7 +54,9 @@ class FxMatrix {
 /// Dequantizes for verification against the float reference.
 [[nodiscard]] numeric::Matrix dequantize(const FxMatrix& m);
 
-/// Fixed-point dot product (sequential saturating accumulate).
+/// Fixed-point dot product with the datapath's sequential saturating
+/// accumulate semantics (exact; a wide accumulator serves the common
+/// no-saturation case).
 [[nodiscard]] Fx fx_dot(std::span<const Fx> a, std::span<const Fx> b);
 
 /// `y[i] += s * x[i]` in fixed point.

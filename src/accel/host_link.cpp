@@ -1,5 +1,6 @@
 #include "accel/host_link.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -33,6 +34,81 @@ HostLinkModule::HostLinkModule(const AccelConfig& config,
   }
 }
 
+double HostLinkModule::rate() const noexcept {
+  // Model upload is bulk DMA; the inference stream is word-granular.
+  return words_[position_].op == StreamOp::kModelWord
+             ? model_words_per_cycle_
+             : words_per_cycle_;
+}
+
+bool HostLinkModule::awaiting_answer() const noexcept {
+  return synchronous_ && words_[position_].op == StreamOp::kStoryStart &&
+         answers_.size() < stories_sent_;
+}
+
+std::optional<sim::Cycle> HostLinkModule::next_activity(
+    sim::Cycle now) const {
+  if (!fifo_out_.empty()) {
+    return now;  // drains an answer
+  }
+  if (position_ >= words_.size() || awaiting_answer()) {
+    return sim::kNever;
+  }
+  const StreamWord& word = words_[position_];
+  const bool charges_latency = word.op == StreamOp::kStoryStart &&
+                               !latency_charged_ && story_latency_cycles_ > 0;
+  if (!charges_latency && fifo_in_.full()) {
+    return sim::kNever;  // every covered cycle is a stall; skip() counts it
+  }
+  // The tick whose credit addition first covers a word, found by replaying
+  // tick()'s exact sequence of double additions (a closed form could round
+  // differently). An over-long scan stops early: reporting an earlier
+  // cycle only costs a real tick there.
+  constexpr sim::Cycle kMaxScan = 1 << 16;
+  const double per_cycle = rate();
+  sim::Cycle at = now + delay_;
+  double credit = delay_ > 0 ? 0.0 : credit_;
+  for (sim::Cycle scanned = 1; (credit += per_cycle) < 1.0 &&
+                               scanned < kMaxScan;
+       ++scanned) {
+    ++at;
+  }
+  return at;
+}
+
+void HostLinkModule::skip(sim::Cycle cycles) {
+  // Exactly what `cycles` ticks do while FIFO_OUT is empty and no word
+  // moves: DMA setup counts down, then credit accrues — reset while
+  // awaiting an answer, or stalling once per cycle on a full FIFO_IN.
+  cycle_ += cycles;
+  if (position_ >= words_.size()) {
+    return;
+  }
+  const sim::Cycle delayed = std::min(cycles, delay_);
+  if (delayed > 0) {
+    delay_ -= delayed;
+    credit_ = 0.0;
+    link_active_cycles_ += delayed;
+    mark_busy(delayed);
+    cycles -= delayed;
+  }
+  const double per_cycle = rate();
+  const bool awaiting = awaiting_answer();
+  sim::Cycle stalls = 0;
+  for (; cycles > 0; --cycles) {
+    credit_ += per_cycle;
+    if (credit_ >= 1.0) {
+      if (awaiting) {
+        credit_ = 0.0;
+      } else {
+        ++stalls;
+      }
+    }
+  }
+  mark_stalled(stalls);
+  fifo_in_.reject_pushes(stalls);
+}
+
 void HostLinkModule::tick() {
   ++cycle_;
   // Drain one answer per cycle from FIFO_OUT; the host observes it after
@@ -53,16 +129,14 @@ void HostLinkModule::tick() {
     return;
   }
 
-  // Model upload is bulk DMA; the inference stream is word-granular.
-  const bool in_model_phase = words_[position_].op == StreamOp::kModelWord;
-  credit_ += in_model_phase ? model_words_per_cycle_ : words_per_cycle_;
+  credit_ += rate();
   bool pushed = false;
   while (credit_ >= 1.0 && position_ < words_.size()) {
     const StreamWord& word = words_[position_];
     if (word.op == StreamOp::kStoryStart) {
       // Request/response host: wait for the previous story's answer
       // before streaming the next request.
-      if (synchronous_ && answers_.size() < stories_sent_) {
+      if (awaiting_answer()) {
         credit_ = 0.0;
         break;
       }

@@ -28,6 +28,9 @@ class HostLinkModule final : public sim::Module {
                  sim::Fifo<std::int32_t>& fifo_out);
 
   void tick() override;
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle now) const override;
+  void skip(sim::Cycle cycles) override;
 
   [[nodiscard]] bool all_words_sent() const noexcept {
     return position_ >= words_.size();
@@ -45,6 +48,12 @@ class HostLinkModule final : public sim::Module {
   }
 
  private:
+  /// Link credit earned per cycle while `words_[position_]` is next.
+  [[nodiscard]] double rate() const noexcept;
+  /// The next word is a story start held back until the previous story's
+  /// answer arrives (synchronous host): credit only cycles through resets.
+  [[nodiscard]] bool awaiting_answer() const noexcept;
+
   std::vector<StreamWord> words_;
   sim::Fifo<StreamWord>& fifo_in_;
   sim::Fifo<std::int32_t>& fifo_out_;

@@ -67,6 +67,15 @@ void InputWriteModule::process(const InputCmd& cmd) {
   }
 }
 
+std::optional<sim::Cycle> InputWriteModule::next_activity(
+    sim::Cycle now) const {
+  // The countdown's end is invisible to the other modules; the next
+  // command pop is what they see.
+  return cmd_fifo_.empty() ? sim::kNever : now + busy_;
+}
+
+void InputWriteModule::skip(sim::Cycle cycles) { skip_busy(busy_, cycles); }
+
 void InputWriteModule::tick() {
   if (busy_ == 0) {
     const auto cmd = cmd_fifo_.try_pop();

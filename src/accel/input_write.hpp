@@ -20,6 +20,9 @@ class InputWriteModule final : public sim::Module {
                    sim::Fifo<InputCmd>& cmd_fifo);
 
   void tick() override;
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle now) const override;
+  void skip(sim::Cycle cycles) override;
 
  private:
   void process(const InputCmd& cmd);

@@ -4,7 +4,25 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "numeric/lut.hpp"
+
 namespace mann::accel {
+namespace {
+
+// The softmax units' tables are fixed by the design, not by the program:
+// built once per process (ExpLut's construction also probes its error on
+// an 8k-point grid), shared read-only by every run on every thread.
+const numeric::ExpLut& exp_lut() {
+  static const numeric::ExpLut lut;
+  return lut;
+}
+
+const numeric::ReciprocalLut& recip_lut() {
+  static const numeric::ReciprocalLut lut;
+  return lut;
+}
+
+}  // namespace
 
 MemModule::MemModule(AcceleratorState& state, const AccelConfig& config)
     : Module("MEM"),
@@ -53,16 +71,17 @@ void MemModule::start() {
   // Phase 2 — exp LUT per selected element plus running sum.
   next_attention_.assign(slots, Fx{});
   Fx sum;
+  const numeric::ExpLut& exp = exp_lut();
   for (const std::size_t i : selected) {
     const float x = (scores[i] - max_score).to_float();
-    next_attention_[i] = Fx::from_float(exp_lut_(x));
+    next_attention_[i] = Fx::from_float(exp(x));
     sum += next_attention_[i];
   }
   ops().exp += active;
   ops().add += active;
 
   // Phase 3 — normalization through the divider (reciprocal + multiply).
-  const Fx inv_sum = Fx::from_float(recip_lut_(sum.to_float()));
+  const Fx inv_sum = Fx::from_float(recip_lut()(sum.to_float()));
   for (const std::size_t i : selected) {
     next_attention_[i] *= inv_sum;
   }
@@ -93,6 +112,18 @@ void MemModule::finish() {
   state_.attention = next_attention_;
   state_.reg_r = next_read_;
   state_.mem_done = true;
+}
+
+std::optional<sim::Cycle> MemModule::next_activity(sim::Cycle now) const {
+  if (busy_ > 0) {
+    return now + busy_ - 1;  // the tick that publishes the read
+  }
+  return state_.mem_request ? now : sim::kNever;
+}
+
+void MemModule::skip(sim::Cycle cycles) {
+  // Never as far as the publishing tick, which next_activity reports.
+  skip_busy(busy_, cycles);
 }
 
 void MemModule::tick() {

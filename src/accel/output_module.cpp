@@ -20,46 +20,57 @@ std::size_t OutputModule::probe_class(std::size_t rank) const noexcept {
 
 void OutputModule::begin_search() {
   state_.features_ready = false;
-  phase_ = Phase::kProbing;
-  rank_ = 0;
-  classes_ = state_.program.vocab_size;
-  best_logit_ = Fx::min();
-  best_class_ = 0;
-  record_ = {};
-  start_probe();
-}
-
-void OutputModule::start_probe() {
-  const std::size_t cls = probe_class(rank_);
   const std::size_t e = state_.program.embedding_dim;
-  current_logit_ = fx_dot(state_.program.w_o.row(cls), state_.reg_h);
-  ops().mac += e;
-  ops().mem_read += e;
-  ops().compare += 1;
-  ++record_.probes;
-  // First probe pays the tree fill latency; later probes pipeline.
-  busy_ = rank_ == 0 ? timing_.dot_cycles(e) : timing_.dot_ii(e);
+  const std::size_t classes = state_.program.vocab_size;
+  record_ = {};
+  Fx best_logit = Fx::min();
+  std::size_t best_class = 0;
+  bool exited = false;
+  for (std::size_t rank = 0; rank < classes && !exited; ++rank) {
+    const std::size_t cls = probe_class(rank);
+    const Fx logit = fx_dot(state_.program.w_o.row(cls), state_.reg_h);
+    ++record_.probes;
+    if (ith_enabled_ && logit > state_.program.thresholds[cls]) {
+      record_.prediction = static_cast<std::int32_t>(cls);
+      record_.early_exit = true;
+      exited = true;
+    } else if (logit > best_logit) {
+      best_logit = logit;
+      best_class = cls;
+    }
+  }
+  if (!exited) {
+    record_.prediction = static_cast<std::int32_t>(best_class);
+  }
+  ops().mac += record_.probes * e;
+  ops().mem_read += record_.probes * e;
+  ops().compare += record_.probes;
+  // The first probe pays the tree fill latency; later probes pipeline.
+  busy_ = timing_.dot_cycles(e) +
+          static_cast<sim::Cycle>(record_.probes - 1) * timing_.dot_ii(e);
+  phase_ = Phase::kProbing;
 }
 
-void OutputModule::finish_probe() {
-  const std::size_t cls = probe_class(rank_);
-  if (ith_enabled_ && current_logit_ > state_.program.thresholds[cls]) {
-    record_.prediction = static_cast<std::int32_t>(cls);
-    record_.early_exit = true;
-    phase_ = Phase::kPushing;
-    return;
+std::optional<sim::Cycle> OutputModule::next_activity(sim::Cycle now) const {
+  switch (phase_) {
+    case Phase::kIdle:
+      return state_.features_ready ? now : sim::kNever;
+    case Phase::kProbing:
+      return now + busy_ - 1;  // the tick that ends the search
+    case Phase::kPushing:
+      // Stalled on a full FIFO_OUT until the host drains it.
+      return fifo_out_.full() ? sim::kNever : now;
   }
-  if (current_logit_ > best_logit_) {
-    best_logit_ = current_logit_;
-    best_class_ = cls;
+  return now;
+}
+
+void OutputModule::skip(sim::Cycle cycles) {
+  if (phase_ == Phase::kProbing) {
+    skip_busy(busy_, cycles);
+  } else if (phase_ == Phase::kPushing) {
+    mark_stalled(cycles);
+    fifo_out_.reject_pushes(cycles);
   }
-  ++rank_;
-  if (rank_ < classes_) {
-    start_probe();
-    return;
-  }
-  record_.prediction = static_cast<std::int32_t>(best_class_);
-  phase_ = Phase::kPushing;
 }
 
 void OutputModule::tick() {
@@ -74,7 +85,7 @@ void OutputModule::tick() {
       mark_busy();
       --busy_;
       if (busy_ == 0) {
-        finish_probe();
+        phase_ = Phase::kPushing;
       }
       return;
     case Phase::kPushing:

@@ -3,7 +3,10 @@
 // One dot product per class through the adder tree, tracking the running
 // maximum — or, with inference thresholding enabled, comparing each logit
 // against its per-class threshold θ in silhouette probe order and exiting
-// early on the first hit (Algo. 1, Step 4 in hardware).
+// early on the first hit (Algo. 1, Step 4 in hardware). Transaction
+// semantics: the whole search is evaluated when it starts, and the module
+// then stays busy for the pipelined probes' cycles before pushing the
+// answer.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +32,9 @@ class OutputModule final : public sim::Module {
                sim::Fifo<std::int32_t>& fifo_out);
 
   void tick() override;
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle now) const override;
+  void skip(sim::Cycle cycles) override;
 
   [[nodiscard]] const std::vector<Record>& records() const noexcept {
     return records_;
@@ -36,8 +42,6 @@ class OutputModule final : public sim::Module {
 
  private:
   void begin_search();
-  void start_probe();
-  void finish_probe();
   [[nodiscard]] std::size_t probe_class(std::size_t rank) const noexcept;
 
   AcceleratorState& state_;
@@ -49,11 +53,6 @@ class OutputModule final : public sim::Module {
   enum class Phase : std::uint8_t { kIdle, kProbing, kPushing };
   Phase phase_ = Phase::kIdle;
   sim::Cycle busy_ = 0;
-  std::size_t rank_ = 0;
-  std::size_t classes_ = 0;
-  Fx current_logit_;
-  Fx best_logit_;
-  std::size_t best_class_ = 0;
   Record record_;
   std::vector<Record> records_;
 };

@@ -5,6 +5,16 @@ namespace mann::accel {
 ReadModule::ReadModule(AcceleratorState& state, const AccelConfig& config)
     : Module("READ"), state_(state), timing_(config.timing) {}
 
+bool ReadModule::first_hop_ready() const noexcept {
+  return state_.input_done && !state_.read_busy && state_.hops_done == 0 &&
+         !state_.features_ready;
+}
+
+bool ReadModule::next_hop_ready() const noexcept {
+  return state_.read_busy && state_.hops_done < state_.program.hops &&
+         state_.hops_done > 0;
+}
+
 void ReadModule::start_hop() {
   const std::size_t e = state_.program.embedding_dim;
   // Kick MEM off on the same key, then occupy our own MAC array with
@@ -45,6 +55,24 @@ void ReadModule::finish_hop() {
   }
 }
 
+std::optional<sim::Cycle> ReadModule::next_activity(sim::Cycle now) const {
+  if (busy_ > 0) {
+    return now + busy_ - 1;  // the tick that ends the W_r·k or add phase
+  }
+  switch (phase_) {
+    case Phase::kIdle:
+      return first_hop_ready() || next_hop_ready() ? now : sim::kNever;
+    case Phase::kWaitMem:
+      return state_.mem_done ? now : sim::kNever;
+    case Phase::kWrk:
+    case Phase::kAdd:
+      break;
+  }
+  return sim::kNever;
+}
+
+void ReadModule::skip(sim::Cycle cycles) { skip_busy(busy_, cycles); }
+
 void ReadModule::tick() {
   if (busy_ > 0) {
     mark_busy();
@@ -56,13 +84,7 @@ void ReadModule::tick() {
   }
   switch (phase_) {
     case Phase::kIdle: {
-      const bool first_hop = state_.input_done && !state_.read_busy &&
-                             state_.hops_done == 0 &&
-                             !state_.features_ready;
-      const bool next_hop = state_.read_busy &&
-                            state_.hops_done < state_.program.hops &&
-                            state_.hops_done > 0;
-      if (first_hop || next_hop) {
+      if (first_hop_ready() || next_hop_ready()) {
         start_hop();
         mark_busy();
       }

@@ -23,6 +23,9 @@ class ReadModule final : public sim::Module {
   ReadModule(AcceleratorState& state, const AccelConfig& config);
 
   void tick() override;
+  [[nodiscard]] std::optional<sim::Cycle> next_activity(
+      sim::Cycle now) const override;
+  void skip(sim::Cycle cycles) override;
 
  private:
   enum class Phase : std::uint8_t {
@@ -32,6 +35,8 @@ class ReadModule final : public sim::Module {
     kAdd,      ///< element-wise h = wrk + r
   };
 
+  [[nodiscard]] bool first_hop_ready() const noexcept;
+  [[nodiscard]] bool next_hop_ready() const noexcept;
   void start_hop();
   void on_busy_complete();
   void finish_hop();

@@ -14,8 +14,11 @@
 namespace mann::accel {
 
 struct AcceleratorState {
-  explicit AcceleratorState(DeviceProgram prog)
-      : program(std::move(prog)),
+  /// Binds to `prog`, which must outlive the state (the Accelerator's own
+  /// program image: one run never copies the weights).
+  explicit AcceleratorState(const DeviceProgram& prog)
+      : program(prog),
+        model_words(prog.model_words()),
         acc_a(program.embedding_dim),
         acc_c(program.embedding_dim),
         acc_q(program.embedding_dim),
@@ -26,7 +29,11 @@ struct AcceleratorState {
     mem_c.reserve(program.max_memory);
   }
 
-  DeviceProgram program;
+  /// A temporary program would dangle.
+  explicit AcceleratorState(DeviceProgram&&) = delete;
+
+  const DeviceProgram& program;
+  const std::size_t model_words;  ///< program.model_words(), computed once
 
   // ---- INPUT & WRITE: embedding accumulators (emb_a / emb_c / emb_q) ----
   FxVector acc_a;

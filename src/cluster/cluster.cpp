@@ -316,6 +316,11 @@ void Cluster::drain() {
 }
 
 std::vector<ClusterCompletion> Cluster::poll_completions() {
+  // finalize() ran every instance to quiescence before folding the tail:
+  // nothing completes after it.
+  if (finalized_) {
+    return std::exchange(finalized_tail_, {});
+  }
   std::vector<ClusterCompletion> merged;
   for (std::size_t i = 0; i < instances_.size(); ++i) {
     for (serve::Completion& completion :
@@ -348,7 +353,8 @@ ClusterReport Cluster::finalize() {
   }
   drain();
   step_until(sim::kNever);
-  (void)poll_completions();  // fold the tail into the percentile samples
+  // Fold the tail into the percentile samples, and keep it for the caller.
+  finalized_tail_ = poll_completions();
   finalized_ = true;
   std::vector<serve::ServingReport> reports;
   reports.reserve(instances_.size());

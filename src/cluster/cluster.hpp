@@ -187,10 +187,13 @@ class Cluster {
   /// Sticky end-of-stream: sub-size batches flush immediately fleet-wide.
   void drain();
 
+  /// Completions since the last poll, (cycle, id)-sorted; after
+  /// finalize(), the tail it folded into the report.
   [[nodiscard]] std::vector<ClusterCompletion> poll_completions();
 
   /// Drains, runs to quiescence, finalizes every instance and folds the
-  /// ClusterReport. Callable once; run() calls it internally.
+  /// ClusterReport. Completions not yet polled stay queued for the next
+  /// poll_completions(). Callable once; run() calls it internally.
   [[nodiscard]] ClusterReport finalize();
 
   // ---- live reconfiguration (fans out to every instance) ----
@@ -238,6 +241,8 @@ class Cluster {
   std::size_t router_shed_ = 0;
   bool ran_ = false;
   bool finalized_ = false;
+  /// The last window finalize() folded, handed out by the next poll.
+  std::vector<ClusterCompletion> finalized_tail_;
   /// Merged-stream percentile inputs, accumulated at poll time.
   std::vector<double> latency_samples_;
   std::vector<double> queue_wait_samples_;

@@ -71,6 +71,13 @@ class Fifo {
     return true;
   }
 
+  /// Accounts `attempts` pushes refused while full in bulk, exactly as
+  /// that many failed try_push calls would (a producer skipping cycles
+  /// it would spend stalled on this FIFO).
+  void reject_pushes(std::uint64_t attempts) noexcept {
+    stats_.full_rejects += attempts;
+  }
+
   /// Pops the head if present.
   [[nodiscard]] std::optional<T> try_pop() {
     if (items_.empty()) {

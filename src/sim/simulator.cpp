@@ -1,65 +1,27 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
-#include <optional>
 #include <stdexcept>
 
 namespace mann::sim {
 
 void Simulator::add_module(Module& module) { modules_.push_back(&module); }
 
-Cycle Simulator::run_until(const std::function<bool()>& done,
-                           Cycle max_cycles) {
-  const Cycle start = now_;
-  while (!done()) {
-    if (now_ - start >= max_cycles) {
-      throw std::runtime_error(
-          "Simulator: watchdog expired — dataflow deadlock or runaway");
-    }
-    for (Module* m : modules_) {
-      m->tick();
-    }
-    ++now_;
+void Simulator::skip(Cycle cycles) {
+  for (Module* m : modules_) {
+    m->skip(cycles);
   }
-  return now_ - start;
+  now_ += cycles;
 }
 
-Cycle Simulator::run_events(const std::function<bool()>& done,
-                            Cycle max_cycles) {
-  const Cycle start = now_;
-  while (!done()) {
-    if (now_ - start >= max_cycles) {
-      throw std::runtime_error(
-          "Simulator: watchdog expired — dataflow deadlock or runaway");
-    }
-
-    // Quiescence check: if every module agrees nothing can happen before
-    // some future cycle, jump straight there. A nullopt vetoes the jump.
-    Cycle horizon = kNever;
-    bool skippable = !modules_.empty();
-    for (const Module* m : modules_) {
-      const std::optional<Cycle> next = m->next_activity();
-      if (!next.has_value()) {
-        skippable = false;
-        break;
-      }
-      horizon = std::min(horizon, *next);
-    }
-    if (skippable && horizon > now_) {
-      // Clamp so the watchdog still fires instead of wrapping past it.
-      advance(std::min(horizon, start + max_cycles) - now_);
-      if (now_ - start >= max_cycles) {
-        throw std::runtime_error(
-            "Simulator: watchdog expired — all modules idle forever");
-      }
-    }
-
-    for (Module* m : modules_) {
-      m->tick();
-    }
-    ++now_;
+void Simulator::tick_all() {
+  for (Module* m : modules_) {
+    m->tick();
   }
-  return now_ - start;
+  ++now_;
+}
+
+void Simulator::watchdog_expired(const char* message) {
+  throw std::runtime_error(message);
 }
 
 }  // namespace mann::sim

@@ -238,5 +238,12 @@ TEST_F(AcceleratorFixture, RejectsNonPositiveClock) {
                std::invalid_argument);
 }
 
+TEST_F(AcceleratorFixture, RejectsProgramWithoutClasses) {
+  DeviceProgram prog = compile_model(*model_);
+  prog.vocab_size = 0;
+  EXPECT_THROW(Accelerator(base_config(), std::move(prog)),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace mann::accel

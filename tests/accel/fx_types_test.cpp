@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "numeric/random.hpp"
 #include "numeric/vector_ops.hpp"
@@ -62,6 +65,103 @@ TEST(FxDot, LengthMismatchThrows) {
   FxVector a(3);
   FxVector b(2);
   EXPECT_THROW((void)fx_dot(a, b), std::invalid_argument);
+}
+
+/// The datapath's definition of a dot product: Fx::operator* rounding and
+/// saturation on every term, then a saturating sequential accumulate.
+Fx reference_dot(std::span<const Fx> a, std::span<const Fx> b) {
+  Fx acc;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    acc += a[i] * b[i];
+  }
+  return acc;
+}
+
+/// A raw word drawn from one of several magnitude classes, including the
+/// extremes, so random vectors mix in-range and saturating terms.
+Fx random_operand(numeric::Rng& rng) {
+  switch (rng.index(8)) {
+    case 0:
+      return Fx::max();
+    case 1:
+      return Fx::min();
+    case 2:
+      return Fx::from_raw(static_cast<std::int32_t>(rng()));  // full range
+    case 3:
+      return Fx::from_raw(static_cast<std::int32_t>(rng.index(1 << 24)) -
+                          (1 << 23));
+    default:
+      return Fx::from_raw(static_cast<std::int32_t>(rng.index(1 << 18)) -
+                          (1 << 17));
+  }
+}
+
+TEST(FxDot, MatchesSequentialSaturatingLoopOnRandomVectors) {
+  numeric::Rng rng(20240613);
+  for (std::size_t trial = 0; trial < 20000; ++trial) {
+    const std::size_t n = rng.index(257);  // lengths 0..256
+    // Half the trials stay small-magnitude (the fast path); the rest mix
+    // in extremes that force the saturating fallback.
+    const bool extremes = trial % 2 == 1;
+    FxVector a(n);
+    FxVector b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = extremes ? random_operand(rng)
+                      : Fx::from_raw(static_cast<std::int32_t>(
+                                         rng.index(1 << 18)) - (1 << 17));
+      b[i] = extremes ? random_operand(rng)
+                      : Fx::from_raw(static_cast<std::int32_t>(
+                                         rng.index(1 << 18)) - (1 << 17));
+    }
+    ASSERT_EQ(fx_dot(a, b), reference_dot(a, b))
+        << "trial " << trial << ", length " << n;
+  }
+}
+
+TEST(FxDot, ExactAtTheSaturationBoundary) {
+  const Fx one = Fx::from_raw(Fx::kOne);
+  const std::int32_t max = Fx::kRawMax;
+  const auto check = [&](std::vector<std::int32_t> raws) {
+    FxVector a(raws.size(), one);
+    FxVector b;
+    for (const std::int32_t r : raws) {
+      b.push_back(Fx::from_raw(r));
+    }
+    EXPECT_EQ(fx_dot(a, b), reference_dot(a, b));
+    EXPECT_EQ(fx_dot(b, a), reference_dot(b, a));
+    return fx_dot(a, b).raw();
+  };
+  // Term magnitudes summing to exactly kRawMax: the widest exact case.
+  EXPECT_EQ(check({max / 2, max - max / 2}), max);
+  EXPECT_EQ(check({-(max / 2), -(max - max / 2)}), -max);
+  // One past it: the sum saturates (and reaches kRawMin exactly below).
+  EXPECT_EQ(check({max / 2, max - max / 2, 1}), max);
+  EXPECT_EQ(check({-(max / 2), -(max - max / 2), -1}), Fx::kRawMin);
+  EXPECT_EQ(check({-(max / 2), -(max - max / 2), -2}), Fx::kRawMin);
+  // A partial sum saturates and later terms pull it back: the datapath
+  // result differs from the exact sum, and fx_dot must keep that.
+  EXPECT_EQ(check({max, 5, -10}), max - 10);
+  EXPECT_EQ(check({Fx::kRawMin, -5, 10}), Fx::kRawMin + 10);
+  // Large magnitudes that cancel without ever saturating.
+  EXPECT_EQ(check({1 << 30, -(1 << 30), 1 << 30, -(1 << 30), 7}), 7);
+  // Extreme operands: the product itself saturates.
+  EXPECT_EQ(fx_dot(FxVector{Fx::min()}, FxVector{Fx::min()}), Fx::max());
+  EXPECT_EQ(fx_dot(FxVector{Fx::min()}, FxVector{Fx::max()}), Fx::min());
+  EXPECT_EQ(fx_dot(FxVector{}, FxVector{}), Fx{});
+}
+
+TEST(FxDot, RoundsHalfAwayFromZeroLikeTheMultiplier) {
+  // 1 raw * 2^15 raw = exactly half an LSB after the shift.
+  const Fx half_lsb = Fx::from_raw(1 << 15);
+  for (const std::int32_t x : {1, -1, 3, -3, 0}) {
+    const FxVector a = {Fx::from_raw(x), Fx::from_raw(x)};
+    const FxVector b = {half_lsb, Fx::from_raw(-(1 << 15))};
+    EXPECT_EQ(fx_dot(a, b), reference_dot(a, b)) << x;
+    EXPECT_EQ(fx_dot(a, b), Fx::from_raw(x) * half_lsb +
+                                Fx::from_raw(x) * Fx::from_raw(-(1 << 15)));
+  }
+  EXPECT_EQ(fx_dot(FxVector{Fx::from_raw(1)}, FxVector{half_lsb}).raw(), 1);
+  EXPECT_EQ(fx_dot(FxVector{Fx::from_raw(-1)}, FxVector{half_lsb}).raw(), -1);
 }
 
 TEST(FxAxpyAndAdd, Basics) {

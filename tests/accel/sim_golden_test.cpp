@@ -7,17 +7,29 @@
 //
 // The program and stories are synthetic and built from integer draws of
 // the repository RNG (no float training), so the digests do not depend on
-// floating-point code generation.
+// floating-point code generation. A seeded sweep of random configurations
+// also checks Accelerator::run against a reference that wires the same
+// module graph and ticks every module on every cycle.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
+#include <initializer_list>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "accel/accelerator.hpp"
+#include "accel/control.hpp"
+#include "accel/host_link.hpp"
+#include "accel/input_write.hpp"
+#include "accel/mem_module.hpp"
+#include "accel/output_module.hpp"
+#include "accel/read_module.hpp"
 #include "accel/service_cycle_cache.hpp"
+#include "accel/stream.hpp"
+#include "sim/simulator.hpp"
 #include "numeric/random.hpp"
 
 namespace mann::accel {
@@ -43,22 +55,30 @@ FxMatrix random_matrix(numeric::Rng& rng, std::size_t rows, std::size_t cols,
   return m;
 }
 
-/// A V=20, E=24, 3-hop program with ITH tables. `span` bounds the raw
-/// weights: 1 << 15 (|w| < 0.5) keeps the datapath in range, 1 << 24
-/// (|w| < 256) drives the dot products into saturation.
-DeviceProgram synthetic_program(std::uint64_t seed, std::int32_t span) {
+struct Shape {
+  std::size_t vocab = kVocab;
+  std::size_t dim = kDim;
+  std::size_t hops = 3;
+  std::size_t max_memory = 6;
+};
+
+/// A program with ITH tables, V=20, E=24, 3 hops by default. `span` bounds
+/// the raw weights: 1 << 15 (|w| < 0.5) keeps the datapath in range,
+/// 1 << 24 (|w| < 256) drives the dot products into saturation.
+DeviceProgram synthetic_program(std::uint64_t seed, std::int32_t span,
+                                const Shape& shape = {}) {
   numeric::Rng rng(seed);
   DeviceProgram p;
-  p.vocab_size = kVocab;
-  p.embedding_dim = kDim;
-  p.hops = 3;
-  p.max_memory = 6;
-  p.emb_a = random_matrix(rng, kVocab, kDim, span);
-  p.emb_c = random_matrix(rng, kVocab, kDim, span);
-  p.emb_q = random_matrix(rng, kVocab, kDim, span);
-  p.w_r = random_matrix(rng, kDim, kDim, span);
-  p.w_o = random_matrix(rng, kVocab, kDim, span);
-  for (std::size_t c = 0; c < kVocab; ++c) {
+  p.vocab_size = shape.vocab;
+  p.embedding_dim = shape.dim;
+  p.hops = shape.hops;
+  p.max_memory = shape.max_memory;
+  p.emb_a = random_matrix(rng, shape.vocab, shape.dim, span);
+  p.emb_c = random_matrix(rng, shape.vocab, shape.dim, span);
+  p.emb_q = random_matrix(rng, shape.vocab, shape.dim, span);
+  p.w_r = random_matrix(rng, shape.dim, shape.dim, span);
+  p.w_o = random_matrix(rng, shape.vocab, shape.dim, span);
+  for (std::size_t c = 0; c < shape.vocab; ++c) {
     // Three quarters of the classes never fire (the compiler's +inf
     // encoding); the rest get thresholds that some stories' logits pass.
     const auto theta = static_cast<std::int32_t>(rng.index(1 << 16));
@@ -72,7 +92,8 @@ DeviceProgram synthetic_program(std::uint64_t seed, std::int32_t span) {
 /// Stories of 1-9 sentences (past max_memory, so slots are evicted) of
 /// 1-5 words each, plus a 1-4 word question.
 std::vector<data::EncodedStory> synthetic_stories(std::uint64_t seed,
-                                                  std::size_t count) {
+                                                  std::size_t count,
+                                                  std::size_t vocab = kVocab) {
   numeric::Rng rng(seed);
   std::vector<data::EncodedStory> stories(count);
   for (data::EncodedStory& s : stories) {
@@ -80,14 +101,14 @@ std::vector<data::EncodedStory> synthetic_stories(std::uint64_t seed,
     for (auto& sentence : s.context) {
       sentence.resize(1 + rng.index(5));
       for (std::int32_t& w : sentence) {
-        w = static_cast<std::int32_t>(rng.index(kVocab));
+        w = static_cast<std::int32_t>(rng.index(vocab));
       }
     }
     s.question.resize(1 + rng.index(4));
     for (std::int32_t& w : s.question) {
-      w = static_cast<std::int32_t>(rng.index(kVocab));
+      w = static_cast<std::int32_t>(rng.index(vocab));
     }
-    s.answer = static_cast<std::int32_t>(rng.index(kVocab));
+    s.answer = static_cast<std::int32_t>(rng.index(vocab));
   }
   return stories;
 }
@@ -250,6 +271,102 @@ TEST(SimGolden, SweepExercisesEveryMechanism) {
     stalled += m.stats.stall_cycles;
   }
   EXPECT_GT(stalled, 0U);
+}
+
+/// The reference stepping: Accelerator::simulate's module graph, ticked
+/// every cycle by Simulator::run_until, folded into a RunResult.
+RunResult ticked_reference(const AccelConfig& config,
+                           const DeviceProgram& program,
+                           std::span<const data::EncodedStory> stories,
+                           bool resident) {
+  AcceleratorState state(program);
+  if (resident) {
+    state.model_words_seen = state.model_words;
+    state.model_loaded = true;
+  }
+  sim::Fifo<StreamWord> fifo_in("FIFO_IN", config.fifo_depth);
+  sim::Fifo<std::int32_t> fifo_out("FIFO_OUT", config.fifo_depth);
+  sim::Fifo<InputCmd> cmd_fifo("CMD_FIFO", config.fifo_depth);
+  HostLinkModule host(
+      config, encode_workload(resident ? 0 : state.model_words, stories),
+      fifo_in, fifo_out);
+  ControlModule control(state, fifo_in, cmd_fifo);
+  InputWriteModule input_write(state, config, cmd_fifo);
+  ReadModule read(state, config);
+  MemModule mem(state, config);
+  OutputModule output(state, config, fifo_out);
+  const std::array<sim::Module*, 6> modules = {&host, &control, &input_write,
+                                               &read, &mem, &output};
+  sim::Simulator simulator;
+  for (sim::Module* m : modules) {
+    simulator.add_module(*m);
+  }
+  (void)simulator.run_until(
+      [&] { return host.answers().size() >= stories.size(); },
+      config.watchdog_cycles);
+
+  RunResult result;
+  result.total_cycles = simulator.now();
+  result.seconds =
+      static_cast<double>(result.total_cycles) / config.clock_hz;
+  result.stream_words = host.words_total();
+  result.link_active_cycles = host.link_active_cycles();
+  for (std::size_t i = 0; i < stories.size(); ++i) {
+    const OutputModule::Record& record = output.records().at(i);
+    result.stories.push_back({record.prediction, record.probes,
+                              record.early_exit, host.answers()[i].cycle});
+  }
+  for (const sim::Module* m : modules) {
+    result.modules.push_back({m->name(), m->stats()});
+    result.total_ops += m->stats().ops;
+  }
+  result.fifo_in_stats = fifo_in.stats();
+  result.fifo_out_stats = fifo_out.stats();
+  return result;
+}
+
+TEST(SimGolden, RunMatchesTickedReferenceOnRandomConfigs) {
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    numeric::Rng rng(seed);
+    const auto pick = [&](std::initializer_list<double> values) {
+      return *(values.begin() + rng.index(values.size()));
+    };
+    Shape shape;
+    shape.vocab = 2 + rng.index(24);
+    shape.dim = 1 + rng.index(40);
+    shape.hops = 1 + rng.index(4);
+    shape.max_memory = 1 + rng.index(8);
+    const auto span = static_cast<std::int32_t>(
+        pick({1 << 12, 1 << 15, 1 << 17, 1 << 24}));
+    const DeviceProgram program = synthetic_program(seed, span, shape);
+
+    AccelConfig config;
+    config.clock_hz = pick({25.0e6, 33.3e6, 100.0e6, 200.0e6});
+    config.timing.lane_width = static_cast<std::size_t>(pick({1, 4, 8, 32}));
+    config.timing.exp_latency = static_cast<sim::Cycle>(pick({1, 2, 5}));
+    config.timing.div_ii = static_cast<sim::Cycle>(pick({1, 3}));
+    config.timing.bram_write = static_cast<sim::Cycle>(pick({1, 3}));
+    config.fifo_depth = static_cast<std::size_t>(pick({1, 2, 3, 32}));
+    config.link.synchronous_stories = rng.index(2) == 0;
+    config.link.words_per_second = pick({1.3e6, 4.0e6, 3.0e7, 2.5e8});
+    config.link.model_words_per_second = pick({1.0e6, 5.0e7, 2.0e8});
+    config.link.per_story_latency = pick({0.0, 1.0e-7, 2.0e-6});
+    config.link.result_latency = pick({0.0, 2.5e-7, 1.0e-6});
+    config.sparse_read_slots = static_cast<std::size_t>(pick({0, 0, 1, 3}));
+    config.ith_enabled = rng.index(2) == 0;
+    config.use_index_ordering = rng.index(3) != 0;
+    const bool resident = rng.index(2) == 0;
+    const std::vector<data::EncodedStory> stories =
+        synthetic_stories(seed, 1 + rng.index(10), shape.vocab);
+
+    RunOptions options;
+    options.model_resident = resident;
+    const RunResult run = Accelerator(config, program).run(stories, options);
+    const RunResult reference =
+        ticked_reference(config, program, stories, resident);
+    ASSERT_EQ(run.total_cycles, reference.total_cycles) << "seed " << seed;
+    ASSERT_EQ(digest(run), digest(reference)) << "seed " << seed;
+  }
 }
 
 }  // namespace

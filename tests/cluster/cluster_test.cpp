@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <tuple>
@@ -206,6 +207,54 @@ TEST(Cluster, MergedStreamIsByteIdenticalAcrossFleetThreadCounts) {
   for (const std::size_t threads : {1u, 2u, 4u}) {
     EXPECT_EQ(run_stream(threads), sequential)
         << "merged stream diverged at " << threads << " fleet threads";
+  }
+}
+
+TEST(Cluster, EveryRequestIsPolledExactlyOnceAcrossFinalize) {
+  const auto stories = tiny_stories(8);
+  const auto models = two_models(stories);
+  // With a final poll the tail arrives before finalize(); without one,
+  // finalize() folds it into the report and the next poll hands it out.
+  for (const bool poll_before_finalize : {true, false}) {
+    SCOPED_TRACE(poll_before_finalize ? "polled tail" : "finalized tail");
+    Cluster cluster(cluster_config(3, {}, RouterPolicyKind::kPowerOfTwo),
+                    models);
+    std::vector<serve::RequestId> submitted;
+    std::vector<serve::RequestId> polled;
+    const auto poll = [&] {
+      for (const ClusterCompletion& c : cluster.poll_completions()) {
+        polled.push_back(c.completion.response.id);
+      }
+    };
+    constexpr std::size_t kRequests = 30;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      serve::SubmitRequest request;
+      request.task = i % 2;
+      request.tenant = static_cast<serve::TenantId>(i % 3);
+      request.at_cycle = 1'000 + static_cast<sim::Cycle>(i) * 2'000;
+      const Cluster::Submission submission = cluster.submit(request);
+      ASSERT_TRUE(submission.instance.has_value());
+      submitted.push_back(submission.id);
+      (void)cluster.step_until(cluster.last_submitted_arrival());
+      if (i % 7 == 6) {
+        poll();
+      }
+    }
+    if (poll_before_finalize) {
+      cluster.drain();
+      (void)cluster.step_until(sim::kNever);
+      poll();
+    }
+    const std::size_t before_finalize = polled.size();
+    const ClusterReport report = cluster.finalize();
+    poll();
+    EXPECT_EQ(polled.size() > before_finalize, !poll_before_finalize);
+    EXPECT_TRUE(cluster.poll_completions().empty());  // handed out once
+
+    EXPECT_EQ(report.offered, kRequests);
+    std::sort(submitted.begin(), submitted.end());
+    std::sort(polled.begin(), polled.end());
+    EXPECT_EQ(polled, submitted);
   }
 }
 

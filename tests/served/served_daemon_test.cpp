@@ -93,6 +93,25 @@ TEST(ServedDaemon, SubmitInfoDrainQuitRoundTrip) {
   EXPECT_NE(transcript.find("completed=2"), std::string::npos);
 }
 
+TEST(ServedDaemon, CountsAreParsedStrictlyAndRangeChecked) {
+  // A tenant id past 32 bits must not wrap onto a real tenant, and a sign
+  // or an overflowing value is not a count.
+  const std::string transcript = run_daemon(
+      "--tiny 2 --tenants 2",
+      "submit 0 4294967297\n"
+      "submit 0 -1\n"
+      "submit 0 +1\n"
+      "submit 0 18446744073709551616\n"
+      "submit -0\n"
+      "config tenant 4294967296 0 1 0 0 0\n"
+      "submit 0 1\n"
+      "quit\n",
+      "strict_counts");
+  EXPECT_EQ(count_lines_with(transcript, "err "), 6U);
+  EXPECT_EQ(count_lines_with(transcript, "ok id="), 1U);
+  EXPECT_NE(transcript.find("offered=1"), std::string::npos);
+}
+
 TEST(ServedDaemon, MalformedCommandsGetErrAndTheDaemonSurvives) {
   const std::string transcript = run_daemon(
       "--tiny 2",

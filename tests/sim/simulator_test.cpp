@@ -111,7 +111,7 @@ class EventModule final : public Module {
     }
   }
 
-  [[nodiscard]] std::optional<Cycle> next_activity() const override {
+  [[nodiscard]] std::optional<Cycle> next_activity(Cycle) const override {
     return next_ < events_.size() ? events_[next_] : kNever;
   }
 
@@ -156,6 +156,56 @@ TEST(Simulator, RunEventsWatchdogStillFires) {
   sim.add_module(m);
   EXPECT_THROW((void)sim.run_events([] { return false; }, 100),
                std::runtime_error);
+}
+
+/// Busy every cycle, acting once per `period`; skip() accounts the busy
+/// countdown in bulk.
+class CountdownModule final : public Module {
+ public:
+  CountdownModule(std::string name, Cycle period)
+      : Module(std::move(name)), period_(period), left_(period) {}
+
+  void tick() override {
+    ++ticks;
+    mark_busy();
+    if (--left_ == 0) {
+      ++acts;
+      left_ = period_;
+    }
+  }
+
+  [[nodiscard]] std::optional<Cycle> next_activity(Cycle now) const override {
+    return now + left_ - 1;
+  }
+
+  void skip(Cycle cycles) override {
+    mark_busy(cycles);
+    left_ -= cycles;
+  }
+
+  Cycle ticks = 0;
+  std::size_t acts = 0;
+
+ private:
+  Cycle period_;
+  Cycle left_;
+};
+
+TEST(Simulator, RunEventsAccountsSkippedCyclesThroughSkip) {
+  CountdownModule ticked("ticked", 100);
+  Simulator dense;
+  dense.add_module(ticked);
+  (void)dense.run_until([&] { return ticked.acts >= 5; }, 10'000);
+
+  CountdownModule jumped("jumped", 100);
+  Simulator events;
+  events.add_module(jumped);
+  (void)events.run_events([&] { return jumped.acts >= 5; }, 10'000);
+
+  EXPECT_EQ(events.now(), dense.now());
+  EXPECT_EQ(jumped.stats().busy_cycles, ticked.stats().busy_cycles);
+  EXPECT_EQ(jumped.ticks, 5U);  // only the acting ticks ran
+  EXPECT_EQ(ticked.ticks, 500U);
 }
 
 TEST(Simulator, AdvanceReplaysTimeWithoutTicking) {

@@ -68,6 +68,7 @@
 // (--train-fallback to train stand-ins inline when the cache is absent).
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
@@ -76,9 +77,12 @@
 #include <deque>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -100,6 +104,18 @@
 namespace {
 
 using namespace mann;
+
+/// The one count parser of flags and protocol lines: the whole token must
+/// be decimal digits (no sign, no blanks) whose value fits in 64 bits.
+std::optional<std::uint64_t> parse_u64(std::string_view token) {
+  std::uint64_t value = 0;
+  const char* const last = token.data() + token.size();
+  const auto [end, error] = std::from_chars(token.data(), last, value);
+  if (error != std::errc{} || end != last) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 struct DaemonOptions {
   std::size_t tiny = 0;       ///< synthetic tasks (0 = use the suite)
@@ -155,14 +171,13 @@ DaemonOptions parse_args(int argc, char** argv) {
       return argv[++i];
     };
     const auto count = [&](const char* value) {
-      char* end = nullptr;
-      const long long parsed = std::strtoll(value, &end, 10);
-      if (end == value || *end != '\0' || parsed < 0) {
+      const std::optional<std::uint64_t> parsed = parse_u64(value);
+      if (!parsed.has_value()) {
         std::fprintf(stderr, "%s needs a non-negative integer, got '%s'\n",
                      arg.c_str(), value);
         usage(2);
       }
-      return static_cast<std::uint64_t>(parsed);
+      return *parsed;
     };
     if (arg == "--tiny") {
       opts.tiny = count(next());
@@ -691,14 +706,27 @@ class Manager {
 
   static std::uint64_t parse_count(const std::string& token,
                                    const char* what) {
-    char* end = nullptr;
-    const unsigned long long parsed =
-        std::strtoull(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0') {
-      fail(std::string(what) + " needs a non-negative integer, got '" +
-           token + "'");
+    const std::optional<std::uint64_t> parsed = parse_u64(token);
+    if (!parsed.has_value()) {
+      fail(std::string(what) + " needs a non-negative integer below 2^64, "
+           "got '" + token + "'");
     }
-    return parsed;
+    return *parsed;
+  }
+
+  /// parse_count for a field narrower than 64 bits: out-of-range values
+  /// are refused instead of wrapping in the cast.
+  template <typename T>
+  static T parse_narrow(const std::string& token, const char* what) {
+    constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
+    const std::uint64_t parsed = parse_count(token, what);
+    if constexpr (kMax < std::numeric_limits<std::uint64_t>::max()) {
+      if (parsed > kMax) {
+        fail(std::string(what) + " " + token + " exceeds " +
+             std::to_string(kMax));
+      }
+    }
+    return static_cast<T>(parsed);
   }
 
   static double parse_real(const std::string& token, const char* what) {
@@ -744,10 +772,9 @@ class Manager {
       fail("submit <task> [tenant] [deadline] [at]");
     }
     serve::SubmitRequest request;
-    request.task = parse_count(tokens[1], "task");
+    request.task = parse_narrow<std::size_t>(tokens[1], "task");
     if (tokens.size() > 2) {
-      request.tenant = static_cast<serve::TenantId>(
-          parse_count(tokens[2], "tenant"));
+      request.tenant = parse_narrow<serve::TenantId>(tokens[2], "tenant");
     }
     if (tokens.size() > 3) {
       request.deadline_cycles = parse_count(tokens[3], "deadline");
@@ -784,11 +811,9 @@ class Manager {
         fail("config tenant <id> <tier> <weight> <quota_interarrival> "
              "<quota_burst> <slo>");
       }
-      const auto id = static_cast<serve::TenantId>(
-          parse_count(tokens[2], "tenant id"));
+      const auto id = parse_narrow<serve::TenantId>(tokens[2], "tenant id");
       serve::TenantConfig config;
-      config.tier = static_cast<std::uint32_t>(
-          parse_count(tokens[3], "tier"));
+      config.tier = parse_narrow<std::uint32_t>(tokens[3], "tier");
       config.weight = parse_real(tokens[4], "weight");
       config.quota_interarrival_cycles =
           parse_real(tokens[5], "quota_interarrival");
